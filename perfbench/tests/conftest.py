@@ -1,0 +1,8 @@
+"""Make the benchmark modules and the program importable from the tests."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
