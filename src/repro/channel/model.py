@@ -17,6 +17,7 @@ optimization needs — and :meth:`ChannelModel.linear_form` extracts that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,10 +83,20 @@ class LinearChannelForm:
             raise SimulationError(
                 f"batch shape {x.shape} != (P, {self.num_elements})"
             )
-        return (
-            np.tensordot(x, self.coeffs, axes=([1], [2]))
-            + self.offset[None, :, :]
-        )
+        k, m = self.offset.shape
+        h = np.dot(x, self.contraction).reshape(x.shape[0], k, m)
+        return h + self.offset[None, :, :]
+
+    @cached_property
+    def contraction(self) -> np.ndarray:
+        """``C`` as the ``(E, K·M)`` GEMM operand, built once per form.
+
+        Exactly the operand ``np.tensordot(x, C, ([1], [2]))`` builds on
+        every call (a transposed view of a C-contiguous ``C``), so
+        ``np.dot(x, contraction)`` runs the same BLAS call bit for bit.
+        """
+        k, m, e = self.coeffs.shape
+        return self.coeffs.transpose(2, 0, 1).reshape(e, k * m)
 
     def restricted(self, point_indices: Sequence[int]) -> "LinearChannelForm":
         """The same form over a subset of evaluation points."""

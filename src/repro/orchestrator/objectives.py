@@ -78,6 +78,26 @@ def _phase_gradient(x: np.ndarray, accumulated: np.ndarray) -> np.ndarray:
     return -2.0 * np.imag(x * accumulated)
 
 
+# Loss-from-channel math shared by the per-objective, fused-joint and
+# stacked evaluations; reductions run over the last axis.
+
+
+def _power(h: np.ndarray) -> np.ndarray:
+    """Per-point MRT power ``‖h_k‖²`` (reduces the antenna axis)."""
+    return np.sum(np.abs(h) ** 2, axis=-1)
+
+
+def _coverage_loss(power: np.ndarray, weights, tx, noise) -> np.ndarray:
+    """Negative weighted Shannon capacity from per-point power."""
+    snr = tx * power / noise
+    return -np.sum(weights * np.log2(1.0 + snr), axis=-1)
+
+
+def _powering_loss(power: np.ndarray) -> np.ndarray:
+    """Negative dB mean power from per-point power."""
+    return -10.0 * np.log10(np.mean(power, axis=-1) + 1e-30)
+
+
 @dataclass(frozen=True)
 class CoverageGoal:
     """Parameters of a coverage/link objective.
@@ -139,10 +159,10 @@ class CoverageObjective(Objective):
         batch = self._check_batch(phases_batch)
         budget = self.goal.budget
         x = self.amplitudes[None, :] * np.exp(1j * batch)  # (P, E)
-        h = self.form.evaluate_many(x)  # (P, K, M)
-        power = np.sum(np.abs(h) ** 2, axis=2)  # (P, K)
-        snr = budget.tx_power_watts * power / budget.noise_watts
-        return -np.sum(self._weights[None, :] * np.log2(1.0 + snr), axis=1)
+        power = _power(self.form.evaluate_many(x))  # (P, K)
+        return _coverage_loss(
+            power, self._weights, budget.tx_power_watts, budget.noise_watts
+        )
 
     def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
         phases = self._check(phases)
@@ -202,10 +222,7 @@ class PoweringObjective(Objective):
     def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
         batch = self._check_batch(phases_batch)
         x = self.amplitudes[None, :] * np.exp(1j * batch)
-        h = self.form.evaluate_many(x)  # (P, K, M)
-        power = np.sum(np.abs(h) ** 2, axis=2)  # (P, K)
-        mean_power = np.mean(power, axis=1) + 1e-30
-        return -10.0 * np.log10(mean_power)
+        return _powering_loss(_power(self.form.evaluate_many(x)))
 
     def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
         phases = self._check(phases)
@@ -345,6 +362,8 @@ class JointObjective(Objective):
 
     The paper's multitasking: "we minimize the sum of localization loss
     and coverage loss" with a single shared surface configuration.
+    :meth:`value_many` evaluates the part tree in one fused pass,
+    bit-identical to summing each part's own ``value_many``.
     """
 
     def __init__(self, parts: Sequence[Tuple[Objective, float]]):
@@ -355,6 +374,7 @@ class JointObjective(Objective):
             raise OptimizationError(f"parts disagree on dimension: {dims}")
         self.parts: List[Tuple[Objective, float]] = list(parts)
         self.dim = dims.pop()
+        self._plan: Optional[tuple] = None  # built on first value_many
 
     def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
         total = 0.0
@@ -367,10 +387,78 @@ class JointObjective(Objective):
 
     def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
         batch = self._check_batch(phases_batch)
+        if self._plan is None:
+            self._plan = _fused_plan(self)
+        amplitudes, forms, tree = self._plan
+        powers = []
+        if forms:
+            x = amplitudes * np.exp(1j * batch)  # one phasor for all leaves
+            powers = [_power(form.evaluate_many(x)) for form in forms]
+        return _fused_value(tree, batch, powers)
+
+
+# ----------------------------------------------------------------------
+# fused joint evaluation
+# ----------------------------------------------------------------------
+#
+# The plan walks the part tree once.  Coverage/link/security/powering
+# leaves sharing the first such leaf's amplitudes index a list of
+# distinct forms; the rest (localization, user objectives, other
+# amplitudes) call their own ``value_many``.  Per chunk: one phasor, one
+# GEMM + power per distinct form (a security pair's leaves share one),
+# then the leaf losses summed through the original weight tree.
+# Bit-identical to the per-part loop: each form's own ``evaluate_many``
+# on the same phasor bits, the same ``_power``/``_*_loss`` reductions,
+# and ``zeros + w·v`` per joint node in part order.  (One wide GEMM over
+# all forms is not: BLAS computes the columns past a narrow GEMM's last
+# full kernel block with another kernel.)  Plain tuples from
+# module functions, not closures: no reference cycles to keep
+# restricted forms alive until the cyclic GC runs.
+
+
+def _fused_plan(joint: "JointObjective") -> tuple:
+    """``(amplitudes, forms, tree)`` for a joint's fused pass."""
+    forms: dict = {}  # id(form) -> (index, form), in first-use order
+    reference: list = []  # the shared amplitudes, once a leaf fuses
+    tree = _fused_node(joint, forms, reference)
+    amplitudes = reference[0] if reference else None
+    return amplitudes, [form for _, form in forms.values()], tree
+
+
+def _fused_node(objective: Objective, forms: dict, reference: list) -> tuple:
+    """One fused-tree node; fused leaves register their form in ``forms``."""
+    kind = type(objective)
+    if kind is JointObjective:
+        parts = objective.parts
+        return ("joint", [(_fused_node(p, forms, reference), w) for p, w in parts])
+    if kind not in (CoverageObjective, PoweringObjective):
+        return ("fallback", objective)
+    if not reference:
+        reference.append(objective.amplitudes)
+    elif objective.amplitudes.tobytes() != reference[0].tobytes():
+        return ("fallback", objective)
+    index = forms.setdefault(id(objective.form), (len(forms), objective.form))[0]
+    if kind is PoweringObjective:
+        return ("powering", index)
+    budget = objective.goal.budget
+    tx, noise = budget.tx_power_watts, budget.noise_watts
+    return ("coverage", index, objective._weights, tx, noise)
+
+
+def _fused_value(node: tuple, batch: np.ndarray, powers: list) -> np.ndarray:
+    """Evaluate one fused-tree node with the per-part loop's exact ops."""
+    kind = node[0]
+    if kind == "joint":
         total = np.zeros(batch.shape[0])
-        for objective, weight in self.parts:
-            total += weight * np.asarray(objective.value_many(batch))
+        for child, weight in node[1]:
+            total += weight * _fused_value(child, batch, powers)
         return total
+    if kind == "coverage":
+        _, index, weights, tx, noise = node
+        return _coverage_loss(powers[index], weights, tx, noise)
+    if kind == "powering":
+        return _powering_loss(powers[node[1]])
+    return np.asarray(node[1].value_many(batch))
 
 
 # ----------------------------------------------------------------------
@@ -386,22 +474,20 @@ class JointObjective(Objective):
 # GEMM (``np.matmul`` over ``(T, P, E) @ (T, E, K·M)``) plus one pass
 # of vectorized loss math across all tasks.
 #
-# Determinism: a batched-matmul slice runs the *same* BLAS kernel with
-# the *same* operand shapes as the per-task ``tensordot`` inside
-# ``LinearChannelForm.evaluate_many``, and every loss reduction keeps
-# its task-local axis order, so stacked losses are bit-identical to
-# per-task evaluation (asserted in tests/orchestrator/test_stacked.py).
+# Determinism: a batched-matmul slice multiplies the same rows by the
+# same columns (stacked copies of each form's ``contraction``) as the
+# per-task GEMM inside ``LinearChannelForm.evaluate_many``, and every
+# loss reduction keeps its task-local axis order, so stacked losses are
+# bit-identical to per-task evaluation (asserted in
+# tests/orchestrator/test_stacked.py).
 
 
-def _form_contraction(form: LinearChannelForm) -> np.ndarray:
-    """``coeffs`` reshaped to the ``(E, K·M)`` GEMM operand.
-
-    Exactly the operand layout ``np.tensordot(x, coeffs, ([1], [2]))``
-    builds internally, so a matmul against it reproduces
-    :meth:`LinearChannelForm.evaluate_many` bit for bit.
-    """
-    k, m, e = form.coeffs.shape
-    return np.ascontiguousarray(form.coeffs.transpose(2, 0, 1).reshape(e, k * m))
+def _stacked_power(amps, bts, offsets, batch: np.ndarray) -> np.ndarray:
+    """Point powers ``(G, P, K)`` for per-task candidate batches ``(G, P, E)``."""
+    g, p, _ = batch.shape
+    _, _, k, m = offsets.shape
+    x = amps[:, None, :] * np.exp(1j * batch)  # (G, P, E)
+    return _power(np.matmul(x, bts).reshape(g, p, k, m) + offsets)
 
 
 class _CoverageStack:
@@ -413,7 +499,7 @@ class _CoverageStack:
         form = obj.form
         self.key = ("coverage", form.num_points, form.num_antennas, form.num_elements)
         self.amplitudes = obj.amplitudes
-        self.bt = _form_contraction(form)
+        self.bt = form.contraction
         self.offset = form.offset
         self.weights = obj._weights
         self.tx = obj.goal.budget.tx_power_watts
@@ -422,10 +508,7 @@ class _CoverageStack:
     @staticmethod
     def pack(kernels: Sequence["_CoverageStack"]) -> tuple:
         """Stack per-task operands once; reused across solver iterations."""
-        return (
-            np.stack([kern.amplitudes for kern in kernels]),
-            np.stack([kern.bt for kern in kernels]),
-            np.stack([kern.offset for kern in kernels])[:, None, :, :],
+        return _PoweringStack.pack(kernels) + (
             np.stack([kern.weights for kern in kernels])[:, None, :],
             np.array([kern.tx for kern in kernels])[:, None, None],
             np.array([kern.noise for kern in kernels])[:, None, None],
@@ -434,17 +517,8 @@ class _CoverageStack:
     @staticmethod
     def evaluate_packed(ops: tuple, batch: np.ndarray) -> np.ndarray:
         amps, bts, offsets, weights, tx, noise = ops
-        g, p, e = batch.shape
-        _, _, k, m = offsets.shape
-        x = amps[:, None, :] * np.exp(1j * batch)  # (G, P, E)
-        h = np.matmul(x, bts).reshape(g, p, k, m) + offsets
-        power = np.sum(np.abs(h) ** 2, axis=3)  # (G, P, K)
-        snr = tx * power / noise
-        return -np.sum(weights * np.log2(1.0 + snr), axis=2)
-
-    @staticmethod
-    def evaluate(kernels: Sequence["_CoverageStack"], batch: np.ndarray) -> np.ndarray:
-        return _CoverageStack.evaluate_packed(_CoverageStack.pack(kernels), batch)
+        power = _stacked_power(amps, bts, offsets, batch)
+        return _coverage_loss(power, weights, tx, noise)
 
 
 class _PoweringStack:
@@ -456,7 +530,7 @@ class _PoweringStack:
         form = obj.form
         self.key = ("powering", form.num_points, form.num_antennas, form.num_elements)
         self.amplitudes = obj.amplitudes
-        self.bt = _form_contraction(form)
+        self.bt = form.contraction
         self.offset = form.offset
 
     @staticmethod
@@ -470,18 +544,7 @@ class _PoweringStack:
 
     @staticmethod
     def evaluate_packed(ops: tuple, batch: np.ndarray) -> np.ndarray:
-        amps, bts, offsets = ops
-        g, p, e = batch.shape
-        _, _, k, m = offsets.shape
-        x = amps[:, None, :] * np.exp(1j * batch)
-        h = np.matmul(x, bts).reshape(g, p, k, m) + offsets
-        power = np.sum(np.abs(h) ** 2, axis=3)
-        mean_power = np.mean(power, axis=2) + 1e-30
-        return -10.0 * np.log10(mean_power)
-
-    @staticmethod
-    def evaluate(kernels: Sequence["_PoweringStack"], batch: np.ndarray) -> np.ndarray:
-        return _PoweringStack.evaluate_packed(_PoweringStack.pack(kernels), batch)
+        return _powering_loss(_stacked_power(*ops, batch))
 
 
 class _JointStack:
@@ -521,10 +584,6 @@ class _JointStack:
         for sub_type, sub_ops, weights in ops:
             total += weights * sub_type.evaluate_packed(sub_ops, batch)
         return total
-
-    @staticmethod
-    def evaluate(kernels: Sequence["_JointStack"], batch: np.ndarray) -> np.ndarray:
-        return _JointStack.evaluate_packed(_JointStack.pack(kernels), batch)
 
 
 def _stack_kernel(objective: Objective):

@@ -1,5 +1,8 @@
 """Analytic gradients vs finite differences — the load-bearing check."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -189,3 +192,33 @@ class TestJoint:
             JointObjective(
                 [(CoverageObjective(f1), 1.0), (CoverageObjective(f2), 1.0)]
             )
+
+    def test_fused_pass_leaves_no_reference_cycles(self, rng):
+        """A dropped joint frees its restricted forms without the cyclic GC."""
+        base = random_form(rng, k=6, m=4)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            local = base.restricted([0, 1, 2])
+            alive = weakref.ref(local)
+            legit = CoverageGoal(LinkBudget(), weights=np.array([1.0, 0.0, 0.0]))
+            eve = CoverageGoal(LinkBudget(), weights=np.array([0.0, 1.0, 0.0]))
+            security = JointObjective(
+                [
+                    (CoverageObjective(local, goal=legit), 1.0),
+                    (CoverageObjective(local, goal=eve), -1.0),
+                ]
+            )
+            joint = JointObjective(
+                [
+                    (CoverageObjective(local), 0.5),
+                    (security, 0.3),
+                    (PoweringObjective(local), 0.2),
+                ]
+            )
+            joint.value_many(rng.uniform(-np.pi, np.pi, size=(4, joint.dim)))
+            del joint, security, local
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
